@@ -1,6 +1,7 @@
 // Provider fixture for the boundeddecode analyzer: a decoder method
-// with a Bound sibling, and one without. homenc itself is not a
-// network-reachable package, so calls inside it are not flagged.
+// with a Bound sibling, one without, and a package-level slab decoder
+// pair. homenc itself is not a network-reachable package, so calls
+// inside it are not flagged.
 package homenc
 
 import "errors"
@@ -25,4 +26,18 @@ type Share struct{ b []byte }
 func (s *Share) UnmarshalText(data []byte) error {
 	s.b = append([]byte(nil), data...)
 	return nil
+}
+
+// UnmarshalInts stands in for an unbounded slab decoder.
+func UnmarshalInts(data []byte, n int) ([][]byte, []byte, error) {
+	return UnmarshalIntsBound(data, n, len(data))
+}
+
+// UnmarshalIntsBound mirrors the real bounded slab decoder's shape: a
+// count, an explicit per-integer bound, the decoded slab and the rest.
+func UnmarshalIntsBound(data []byte, n, max int) ([][]byte, []byte, error) {
+	if n > len(data) || max < 0 {
+		return nil, nil, errors.New("too large")
+	}
+	return make([][]byte, n), data[n:], nil
 }

@@ -26,6 +26,16 @@ func decodeHelloBounded(b []byte) (wireproto.Hello, error) {
 	return wireproto.UnmarshalHelloBound(b, 256)
 }
 
+func decodeVector(b []byte) error {
+	_, _, err := homenc.UnmarshalInts(b, 4) // want `unbounded UnmarshalInts on a network-reachable path; use homenc.UnmarshalIntsBound with explicit caps`
+	return err
+}
+
+func decodeVectorBounded(b []byte) error {
+	_, _, err := homenc.UnmarshalIntsBound(b, 4, 256)
+	return err
+}
+
 func decodeShare(b []byte) error {
 	var s homenc.Share
 	return s.UnmarshalText(b) // fine: UnmarshalText has no Bound sibling

@@ -107,6 +107,42 @@ func FuzzVectorWire(f *testing.F) {
 	})
 }
 
+// FuzzIntsWire feeds arbitrary bytes and counts to the slab decoders
+// (the path every network vector takes) alongside a one-at-a-time
+// reference walk: they must agree on acceptance and on every value, and
+// hostile lengths, tags, truncations and counts must only error.
+func FuzzIntsWire(f *testing.F) {
+	good := append(mustMarshalCT(big.NewInt(5)), mustMarshalCT(big.NewInt(-9))...)
+	f.Add(good, uint16(2))
+	f.Add([]byte{0x01, 0, 0, 0x10, 0x01, 1, 2, 3}, uint16(1)) // magnitude over the bound
+	f.Add([]byte{0x01, 0, 0, 0, 5, 1, 2}, uint16(1))          // truncated magnitude
+	f.Add([]byte{0x03, 0, 0, 0, 0}, uint16(1))                // bad tag
+	f.Add(good, uint16(0xFFFF))                               // count larger than the payload
+	f.Add(mustMarshalPD(3, big.NewInt(77)), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, count uint16) {
+		n := int(count)
+		ints, rest, err := UnmarshalIntsBound(data, n, 1<<12)
+		p, refErr := data, error(nil)
+		for i := 0; i < n && refErr == nil; i++ {
+			var v *big.Int
+			v, p, refErr = UnmarshalIntBound(p, 1<<12)
+			if refErr == nil && ints != nil && ints[i].Cmp(v) != 0 {
+				t.Fatalf("element %d: slab %v, reference %v", i, &ints[i], v)
+			}
+		}
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("slab error %v, reference error %v", err, refErr)
+		}
+		if err == nil && (len(ints) != n || !bytes.Equal(rest, p)) {
+			t.Fatalf("slab decoded %d elements and left %d bytes, want %d and %d", len(ints), len(rest), n, len(p))
+		}
+		ps, _, perr := UnmarshalPartialsBound(data, n, 1<<12)
+		if perr == nil && len(ps) != n {
+			t.Fatalf("partials decoded %d of %d", len(ps), n)
+		}
+	})
+}
+
 func mustMarshalCT(v *big.Int) []byte {
 	b, err := Ciphertext{V: v}.MarshalBinary()
 	if err != nil {

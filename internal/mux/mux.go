@@ -400,15 +400,22 @@ func (h *Host) writeFrame(conn net.Conn, kind byte, payload []byte) error {
 }
 
 // pump is the host's membership loop: it announces itself to the
-// bootstrap (digest handshake) and pushes/merges rosters until the
-// shared book covers the population, so every co-located participant
-// joins through one connection stream instead of N hello storms.
+// bootstrap (digest handshake) and pushes/merges rosters until both the
+// shared book and the bootstrap's acknowledged roster cover the
+// population, so every co-located participant joins through one
+// connection stream instead of N hello storms. Stopping on the local
+// book alone is not enough: a node registered after the last push would
+// complete this host's book while the bootstrap never learns it.
 func (h *Host) pump() {
 	defer h.wg.Done()
 	idle := 0
-	for h.book.Size() < h.cfg.N {
-		if !h.pumpOnce() {
+	for {
+		acked, ok := h.pumpOnce()
+		if !ok {
 			return // rejected or shut down
+		}
+		if acked >= h.cfg.N && h.book.Size() >= h.cfg.N {
+			return
 		}
 		d := 10 * time.Millisecond << min(idle, 6)
 		idle++
@@ -424,15 +431,16 @@ func (h *Host) pump() {
 
 // pumpOnce performs one membership round trip with the bootstrap: a
 // digest-checked hello announcing one local participant, then a view
-// push sharing every local address. Reports false on a terminal
-// refusal or shutdown.
-func (h *Host) pumpOnce() bool {
+// push sharing every local address. It returns how many participants
+// the bootstrap's answer to the push covers (0 when the round did not
+// complete), and false on a terminal refusal or shutdown.
+func (h *Host) pumpOnce() (acked int, ok bool) {
 	if h.stopped.Load() {
-		return false
+		return 0, false
 	}
 	conn, err := net.DialTimeout("tcp", h.cfg.Bootstrap, h.cfg.ExchangeTimeout)
 	if err != nil {
-		return true
+		return 0, true
 	}
 	conn = h.track(conn)
 	defer conn.Close()
@@ -446,23 +454,23 @@ func (h *Host) pumpOnce() bool {
 	}
 	h.mu.Unlock()
 	if first < 0 {
-		return true // nothing to announce yet
+		return 0, true // nothing to announce yet
 	}
 	if err := h.writeFrame(conn, wireproto.KindHello, wireproto.MarshalHello(wireproto.Hello{
 		Index: uint32(first), Addr: h.addr, N: uint32(h.cfg.N), Digest: h.digest,
 	})); err != nil {
-		return true
+		return 0, true
 	}
 	f, err := wireproto.ReadFrame(conn, h.lim.MaxFrameLen)
 	if err != nil {
-		return true
+		return 0, true
 	}
 	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
 	if f.Kind == wireproto.KindReject {
 		if r, rerr := wireproto.UnmarshalReject(f.Payload); rerr == nil {
 			h.pumpErr.Store(fmt.Errorf("%w: bootstrap %s: %s", node.ErrConfigMismatch, h.cfg.Bootstrap, r.Reason))
 		}
-		return false
+		return 0, false
 	}
 	if f.Kind == wireproto.KindHelloAck {
 		if items, err := wireproto.UnmarshalView(f.Payload, h.lim); err == nil {
@@ -470,24 +478,26 @@ func (h *Host) pumpOnce() bool {
 		}
 	}
 	// Second leg: push the full local roster so the far side learns
-	// every co-located participant, not just the announcer.
+	// every co-located participant, not just the announcer. The answer
+	// is the bootstrap's book after merging the push.
 	conn2, err := net.DialTimeout("tcp", h.cfg.Bootstrap, h.cfg.ExchangeTimeout)
 	if err != nil {
-		return true
+		return 0, true
 	}
 	conn2 = h.track(conn2)
 	defer conn2.Close()
 	_ = conn2.SetDeadline(time.Now().Add(h.cfg.ExchangeTimeout))
 	if err := h.writeFrame(conn2, wireproto.KindView, wireproto.MarshalView(h.book.Roster())); err != nil {
-		return true
+		return 0, true
 	}
 	if f, err := wireproto.ReadFrame(conn2, h.lim.MaxFrameLen); err == nil && f.Kind == wireproto.KindView {
 		h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
 		if items, err := wireproto.UnmarshalView(f.Payload, h.lim); err == nil {
 			h.book.Merge(items)
+			acked = len(items)
 		}
 	}
-	return true
+	return acked, true
 }
 
 // Transport returns the host's dialer: co-located destinations (the
@@ -507,10 +517,28 @@ func (d hostDialer) Dial(peer int, addr string, timeout time.Duration) (net.Conn
 		}
 		client, server := net.Pipe()
 		h.wg.Add(1)
-		go h.serveConn(h.track(server))
-		return client, nil
+		go h.serveConn(h.track(pipeEnd{server, client}))
+		return pipeEnd{client, server}, nil
 	}
 	return net.DialTimeout("tcp", addr, timeout)
+}
+
+// pipeEnd is one end of an in-process pipe. net.Pipe refuses deadline
+// changes once either end is closed, so a deadline still armed on the
+// end that closes second could never be cleared: its timer would pin
+// that end and the channels both ends share until it fires, an
+// exchange timeout later, and a busy host would carry hundreds of
+// megabytes of finished pipes. The first Close therefore disarms both
+// ends before closing its own.
+type pipeEnd struct {
+	net.Conn
+	peer net.Conn
+}
+
+func (p pipeEnd) Close() error {
+	_ = p.Conn.SetDeadline(time.Time{})
+	_ = p.peer.SetDeadline(time.Time{})
+	return p.Conn.Close()
 }
 
 // connSet tracks the host's open connections for prompt shutdown

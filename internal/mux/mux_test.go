@@ -329,3 +329,84 @@ func TestAddNodeValidation(t *testing.T) {
 		t.Fatal("short series accepted")
 	}
 }
+
+// TestPumpCarriesLateRegistrations pins the two-host join: a node
+// registered on the second host after its pump has already pushed a
+// roster (and so completes that host's own book) must still reach the
+// bootstrap host, or the bootstrap's participants wait for their roster
+// forever. Each trial registers the last node while the pump sleeps
+// between rounds.
+func TestPumpCarriesLateRegistrations(t *testing.T) {
+	ts := newSetup(t, 6, 0)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for trial := 0; trial < 5; trial++ {
+		newHost := func(bootstrap string, idxs ...int) *mux.Host {
+			h, err := mux.NewHost(mux.Config{N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto, Bootstrap: bootstrap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range idxs {
+				if _, err := h.AddNode(node.Config{Index: i, Series: ts.data.Row(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return h
+		}
+		a := newHost("", 0, 1, 2)
+		b := newHost(a.Addr(), 3, 4)
+		waitFor("the first roster push", func() bool { return a.RosterSize() == 5 && b.RosterSize() == 5 })
+		if _, err := b.AddNode(node.Config{Index: 5, Series: ts.data.Row(5)}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("the bootstrap to learn the late node", func() bool { return a.RosterSize() == ts.n })
+		_ = b.Close()
+		_ = a.Close()
+	}
+}
+
+// TestClosedPipesPinNothing pins the in-process transport's cleanup: a
+// co-located connection closed with a deadline still armed on either
+// end must not stay reachable through the deadline's timer. net.Pipe
+// refuses to clear a deadline once the other end has closed, so without
+// the transport disarming both ends, every finished exchange would pin
+// its pipe until the deadline fires.
+func TestClosedPipesPinNothing(t *testing.T) {
+	ts := newSetup(t, 4, 0)
+	h, err := mux.NewHost(mux.Config{N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	baseline := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const pipes = 4000
+	for i := 0; i < pipes; i++ {
+		conn, err := h.Transport().Dial(1, h.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(time.Hour))
+		_ = conn.Close()
+	}
+	// Each server end's router sees the close and exits.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Fatalf("%d closed pipes still hold %d KiB", pipes, grown>>10)
+	}
+}

@@ -220,14 +220,14 @@ func dialOutcome(err error) tryOutcome {
 // — saying nothing and letting the responder's fin timeout fire — is
 // what a genuine crash produces, with the identical half-completed
 // outcome.
-func (nd *Node) sendFin(conn net.Conn, kind byte, hdr wireproto.ExchangeHdr, s slot, full bool, payload func(wireproto.ExchangeHdr) []byte) {
+func (nd *Node) sendFin(conn net.Conn, kind byte, hdr wireproto.ExchangeHdr, s slot, full bool, payload func(wireproto.ExchangeHdr) wireproto.Message) {
 	if nd.crashes(LegFin, s) {
 		return // simulated crash between the merge and FIN
 	}
 	if !full {
 		hdr.Flags |= wireproto.FlagAbort
 	}
-	_ = nd.writeFrame(conn, kind, payload(hdr))
+	_ = nd.writeFrameTo(conn, kind, -1, payload(hdr))
 }
 
 // --- sum phase (encrypted means + noise lockstep + counter) ---
@@ -246,7 +246,7 @@ func (nd *Node) initiateSum(st *iterState, peer int, s slot, full bool) {
 		req := wireproto.SumMsg{Hdr: hdr, Means: st.means, Noise: st.noise, CtrSigma: st.ctrS, CtrOmega: st.ctrW}
 		// Request legs carry the destination index so a multiplexed
 		// listener can route them; later legs ride the routed connection.
-		if err := nd.writeFrameTo(conn, wireproto.KindSumReq, peer, wireproto.MarshalSum(req)); err != nil {
+		if err := nd.writeFrameTo(conn, wireproto.KindSumReq, peer, req); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
@@ -265,8 +265,8 @@ func (nd *Node) initiateSum(st *iterState, peer int, s slot, full bool) {
 		st.ctrS, st.ctrW = (st.ctrS+resp.CtrSigma)/2, (st.ctrW+resp.CtrOmega)/2
 		nd.counters.Initiated.Add(1)
 		nd.journalCommit(s, st, true)
-		nd.sendFin(conn, wireproto.KindSumFin, hdr, s, full, func(h wireproto.ExchangeHdr) []byte {
-			return wireproto.MarshalFin(wireproto.Fin{Hdr: h})
+		nd.sendFin(conn, wireproto.KindSumFin, hdr, s, full, func(h wireproto.ExchangeHdr) wireproto.Message {
+			return wireproto.Fin{Hdr: h}
 		})
 		return tryCommitted
 	})
@@ -283,7 +283,7 @@ func (nd *Node) respondSum(st *iterState, s slot, from int) {
 			return tryHalf
 		}
 		resp := wireproto.SumMsg{Hdr: req.Hdr, Means: st.means, Noise: st.noise, CtrSigma: st.ctrS, CtrOmega: st.ctrW}
-		if err := nd.writeFrame(in.conn, wireproto.KindSumResp, wireproto.MarshalSum(resp)); err != nil {
+		if err := nd.writeFrameTo(in.conn, wireproto.KindSumResp, -1, resp); err != nil {
 			return tryRetry
 		}
 		fin, out := nd.awaitFin(in.conn, wireproto.KindSumFin)
@@ -334,7 +334,7 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 		}
 		hdr := nd.hdrFor(s, peer)
 		req := wireproto.DissMsg{Hdr: hdr, ID: st.corID, Vec: st.corVec}
-		if err := nd.writeFrameTo(conn, wireproto.KindDissReq, peer, wireproto.MarshalDiss(req)); err != nil {
+		if err := nd.writeFrameTo(conn, wireproto.KindDissReq, peer, req); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
@@ -351,8 +351,8 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 		}
 		nd.counters.Initiated.Add(1)
 		nd.journalCommit(s, st, true)
-		nd.sendFin(conn, wireproto.KindDissFin, hdr, s, full, func(h wireproto.ExchangeHdr) []byte {
-			return wireproto.MarshalFin(wireproto.Fin{Hdr: h})
+		nd.sendFin(conn, wireproto.KindDissFin, hdr, s, full, func(h wireproto.ExchangeHdr) wireproto.Message {
+			return wireproto.Fin{Hdr: h}
 		})
 		return tryCommitted
 	})
@@ -368,7 +368,7 @@ func (nd *Node) respondDiss(st *iterState, s slot, from int) {
 			return tryHalf
 		}
 		resp := wireproto.DissMsg{Hdr: req.Hdr, ID: st.corID, Vec: st.corVec}
-		if err := nd.writeFrame(in.conn, wireproto.KindDissResp, wireproto.MarshalDiss(resp)); err != nil {
+		if err := nd.writeFrameTo(in.conn, wireproto.KindDissResp, -1, resp); err != nil {
 			return tryRetry
 		}
 		fin, out := nd.awaitFin(in.conn, wireproto.KindDissFin)
@@ -401,7 +401,7 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 		}
 		hdr := nd.hdrFor(s, peer)
 		req := wireproto.DecMsg{Hdr: hdr, CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts}
-		if err := nd.writeFrameTo(conn, wireproto.KindDecReq, peer, wireproto.MarshalDec(req)); err != nil {
+		if err := nd.writeFrameTo(conn, wireproto.KindDecReq, peer, req); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
@@ -458,8 +458,8 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 		nd.counters.Initiated.Add(1)
 		nd.journalCommit(s, st, true)
 
-		nd.sendFin(conn, wireproto.KindDecFin, hdr, s, full, func(h wireproto.ExchangeHdr) []byte {
-			return wireproto.MarshalDec(wireproto.DecMsg{Hdr: h, Fresh: freshForPeer})
+		nd.sendFin(conn, wireproto.KindDecFin, hdr, s, full, func(h wireproto.ExchangeHdr) wireproto.Message {
+			return wireproto.DecMsg{Hdr: h, Fresh: freshForPeer}
 		})
 		return tryCommitted
 	})
@@ -492,7 +492,7 @@ func (nd *Node) respondDec(st *iterState, s slot, from int) {
 			}
 		}
 		resp := wireproto.DecMsg{Hdr: req.Hdr, CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts, Fresh: fresh}
-		if err := nd.writeFrame(in.conn, wireproto.KindDecResp, wireproto.MarshalDec(resp)); err != nil {
+		if err := nd.writeFrameTo(in.conn, wireproto.KindDecResp, -1, resp); err != nil {
 			return tryRetry
 		}
 		_ = in.conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))

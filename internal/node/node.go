@@ -909,17 +909,19 @@ func phaseOfKind(kind byte) int {
 // accounted separately from network weather, and the offending
 // connection is always dropped by the caller.
 func (nd *Node) writeFrame(conn net.Conn, kind byte, payload []byte) error {
-	return nd.writeFrameTo(conn, kind, -1, payload)
+	return nd.writeFrameTo(conn, kind, -1, wireproto.Raw(payload))
 }
 
 // writeFrameTo writes a frame addressed to a population index (< 0:
 // untargeted), so a multiplexed listener on the far side can route it
 // without decoding the payload. Exchange request legs carry the target;
-// every later leg travels on an already-routed connection.
-func (nd *Node) writeFrameTo(conn net.Conn, kind byte, target int, payload []byte) error {
-	err := wireproto.WriteFrameTarget(conn, kind, nd.epoch, target, payload)
+// every later leg travels on an already-routed connection. The message
+// is encoded straight into the frame buffer behind its header and the
+// frame goes out in one Write.
+func (nd *Node) writeFrameTo(conn net.Conn, kind byte, target int, m wireproto.Message) error {
+	n, err := wireproto.WriteMessage(conn, kind, nd.epoch, target, m)
 	if err == nil {
-		nd.counters.BytesSent.Add(int64(wireproto.FrameWireSize(target, len(payload))))
+		nd.counters.BytesSent.Add(int64(n))
 	}
 	return err
 }

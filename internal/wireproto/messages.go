@@ -29,6 +29,9 @@ type ExchangeHdr struct {
 // produces the same half-completed outcome via the fin timeout.
 const FlagAbort byte = 0x01
 
+// hdrBytes is ExchangeHdr's encoded size.
+const hdrBytes = 5*4 + 1
+
 func (h ExchangeHdr) encode(e *enc) {
 	e.u32(h.Iter)
 	e.u32(h.Cycle)
@@ -60,6 +63,25 @@ func PeekHdr(data []byte) (ExchangeHdr, error) {
 	}
 	return h, nil
 }
+
+// Message is a payload that knows its exact encoded size and appends
+// its encoding to a buffer — what lets WriteMessage build a whole frame
+// in one allocation, header in front of the payload, and the Marshal
+// functions allocate exactly once (their exactly-sized result).
+type Message interface {
+	WireSize() int
+	AppendWire(dst []byte) []byte
+}
+
+// Raw is an already-encoded payload (the membership messages) as a
+// Message.
+type Raw []byte
+
+// WireSize implements Message.
+func (r Raw) WireSize() int { return len(r) }
+
+// AppendWire implements Message.
+func (r Raw) AppendWire(dst []byte) []byte { return append(dst, r...) }
 
 // --- membership ---
 
@@ -245,12 +267,13 @@ type SumMsg struct {
 	CtrOmega float64
 }
 
+func sumStateSize(st eesum.SumState) int {
+	return 4 + ctsSize(st.CTs) + homenc.IntWireSize(st.Omega) + 4
+}
+
 func encodeSumState(e *enc, st eesum.SumState) {
-	e.u32(uint32(len(st.CTs)))
-	for _, ct := range st.CTs {
-		e.raw(homenc.MarshalInt(ct.V))
-	}
-	e.raw(homenc.MarshalInt(st.Omega))
+	e.cts(st.CTs)
+	e.bigInt(st.Omega)
 	e.u32(uint32(st.Epoch))
 }
 
@@ -260,18 +283,20 @@ func decodeSumState(d *dec, lim Limits) eesum.SumState {
 		d.fail("sum state dimension exceeds bound")
 		return eesum.SumState{}
 	}
-	st := eesum.SumState{CTs: make([]homenc.Ciphertext, 0, minInt(n, len(d.b)/5+1))}
-	for i := 0; i < n && d.err == nil; i++ {
-		st.CTs = append(st.CTs, homenc.Ciphertext{V: d.bigInt(lim.MaxCTBytes)})
-	}
+	st := eesum.SumState{CTs: d.cts(n, lim.MaxCTBytes)}
 	st.Omega = d.bigInt(lim.MaxCTBytes)
 	st.Epoch = int(d.u32())
 	return st
 }
 
-// MarshalSum encodes a SumMsg payload (KindSumReq and KindSumResp).
-func MarshalSum(m SumMsg) []byte {
-	var e enc
+// WireSize implements Message.
+func (m SumMsg) WireSize() int {
+	return hdrBytes + sumStateSize(m.Means) + sumStateSize(m.Noise) + 8 + 8
+}
+
+// AppendWire implements Message.
+func (m SumMsg) AppendWire(dst []byte) []byte {
+	e := enc{b: dst}
 	m.Hdr.encode(&e)
 	encodeSumState(&e, m.Means)
 	encodeSumState(&e, m.Noise)
@@ -279,6 +304,9 @@ func MarshalSum(m SumMsg) []byte {
 	e.f64(m.CtrOmega)
 	return e.bytes()
 }
+
+// MarshalSum encodes a SumMsg payload (KindSumReq and KindSumResp).
+func MarshalSum(m SumMsg) []byte { return m.AppendWire(make([]byte, 0, m.WireSize())) }
 
 // UnmarshalSum decodes a SumMsg payload.
 func UnmarshalSum(data []byte, lim Limits) (SumMsg, error) {
@@ -299,12 +327,18 @@ type Fin struct {
 	Hdr ExchangeHdr
 }
 
-// MarshalFin encodes a Fin payload (KindSumFin, KindDissFin).
-func MarshalFin(f Fin) []byte {
-	var e enc
+// WireSize implements Message.
+func (f Fin) WireSize() int { return hdrBytes }
+
+// AppendWire implements Message.
+func (f Fin) AppendWire(dst []byte) []byte {
+	e := enc{b: dst}
 	f.Hdr.encode(&e)
 	return e.bytes()
 }
+
+// MarshalFin encodes a Fin payload (KindSumFin, KindDissFin).
+func MarshalFin(f Fin) []byte { return f.AppendWire(make([]byte, 0, f.WireSize())) }
 
 // UnmarshalFin decodes a Fin payload.
 func UnmarshalFin(data []byte) (Fin, error) {
@@ -324,9 +358,12 @@ type DissMsg struct {
 	Vec []float64
 }
 
-// MarshalDiss encodes a DissMsg payload (KindDissReq, KindDissResp).
-func MarshalDiss(m DissMsg) []byte {
-	var e enc
+// WireSize implements Message.
+func (m DissMsg) WireSize() int { return hdrBytes + 8 + 4 + 8*len(m.Vec) }
+
+// AppendWire implements Message.
+func (m DissMsg) AppendWire(dst []byte) []byte {
+	e := enc{b: dst}
 	m.Hdr.encode(&e)
 	e.u64(m.ID)
 	e.u32(uint32(len(m.Vec)))
@@ -335,6 +372,9 @@ func MarshalDiss(m DissMsg) []byte {
 	}
 	return e.bytes()
 }
+
+// MarshalDiss encodes a DissMsg payload (KindDissReq, KindDissResp).
+func MarshalDiss(m DissMsg) []byte { return m.AppendWire(make([]byte, 0, m.WireSize())) }
 
 // UnmarshalDiss decodes a DissMsg payload.
 func UnmarshalDiss(data []byte, lim Limits) (DissMsg, error) {
@@ -367,11 +407,19 @@ type DecMsg struct {
 	Fresh []homenc.PartialDecryption
 }
 
+func partialsSize(ps []homenc.PartialDecryption) int {
+	size := 4
+	for _, p := range ps {
+		size += 4 + homenc.IntWireSize(p.V)
+	}
+	return size
+}
+
 func encodePartials(e *enc, ps []homenc.PartialDecryption) {
 	e.u32(uint32(len(ps)))
 	for _, p := range ps {
 		e.u32(uint32(p.Index))
-		e.raw(homenc.MarshalInt(p.V))
+		e.bigInt(p.V)
 	}
 }
 
@@ -381,33 +429,49 @@ func decodePartials(d *dec, lim Limits) []homenc.PartialDecryption {
 		d.fail("partials vector exceeds bound")
 		return nil
 	}
-	ps := make([]homenc.PartialDecryption, 0, minInt(n, len(d.b)/9+1))
-	for i := 0; i < n && d.err == nil; i++ {
-		idx := int(d.u32())
-		v := d.bigInt(lim.MaxCTBytes)
-		ps = append(ps, homenc.PartialDecryption{Index: idx, V: v})
+	if d.err != nil {
+		return nil
 	}
+	ps, rest, err := homenc.UnmarshalPartialsBound(d.b, n, lim.MaxCTBytes)
+	if err != nil {
+		d.err = err
+		return nil
+	}
+	d.b = rest
 	return ps
 }
 
-// MarshalDec encodes a DecMsg payload (KindDecReq, KindDecResp,
-// KindDecFin).
-func MarshalDec(m DecMsg) []byte {
-	var e enc
-	m.Hdr.encode(&e)
-	e.u32(uint32(len(m.CTs)))
-	for _, ct := range m.CTs {
-		e.raw(homenc.MarshalInt(ct.V))
-	}
+// zero encodes a DecMsg's absent Omega.
+var zero big.Int
+
+func (m DecMsg) omega() *big.Int {
 	if m.Omega == nil {
-		e.raw(homenc.MarshalInt(big.NewInt(0)))
-	} else {
-		e.raw(homenc.MarshalInt(m.Omega))
+		return &zero
 	}
+	return m.Omega
+}
+
+// WireSize implements Message.
+func (m DecMsg) WireSize() int {
+	size := hdrBytes + 4 + ctsSize(m.CTs) + homenc.IntWireSize(m.omega()) + 2
+	for _, ps := range m.Parts {
+		size += 4 + partialsSize(ps)
+	}
+	return size + partialsSize(m.Fresh)
+}
+
+// AppendWire implements Message.
+func (m DecMsg) AppendWire(dst []byte) []byte {
+	e := enc{b: dst}
+	m.Hdr.encode(&e)
+	e.cts(m.CTs)
+	e.bigInt(m.omega())
 	e.u16(uint16(len(m.Parts)))
 	// Canonical share-index order: encoding must not depend on map
-	// iteration order (peers compare and hash frames in tests).
-	idxs := make([]int, 0, len(m.Parts))
+	// iteration order (peers compare and hash frames in tests). The
+	// share sets number at most τ, so the keys sort in a stack buffer.
+	var stack [16]int
+	idxs := stack[:0]
 	for idx := range m.Parts {
 		idxs = append(idxs, idx)
 	}
@@ -420,6 +484,10 @@ func MarshalDec(m DecMsg) []byte {
 	return e.bytes()
 }
 
+// MarshalDec encodes a DecMsg payload (KindDecReq, KindDecResp,
+// KindDecFin).
+func MarshalDec(m DecMsg) []byte { return m.AppendWire(make([]byte, 0, m.WireSize())) }
+
 // UnmarshalDec decodes a DecMsg payload.
 func UnmarshalDec(data []byte, lim Limits) (DecMsg, error) {
 	d := dec{b: data}
@@ -428,10 +496,7 @@ func UnmarshalDec(data []byte, lim Limits) (DecMsg, error) {
 	if d.err == nil && n > lim.MaxDim {
 		return m, fmt.Errorf("wireproto: ciphertext vector of %d exceeds bound %d", n, lim.MaxDim)
 	}
-	m.CTs = make([]homenc.Ciphertext, 0, minInt(n, len(d.b)/5+1))
-	for i := 0; i < n && d.err == nil; i++ {
-		m.CTs = append(m.CTs, homenc.Ciphertext{V: d.bigInt(lim.MaxCTBytes)})
-	}
+	m.CTs = d.cts(n, lim.MaxCTBytes)
 	m.Omega = d.bigInt(lim.MaxCTBytes)
 	nParts := int(d.u16())
 	if d.err == nil && nParts > lim.MaxParts {
@@ -452,6 +517,25 @@ func UnmarshalDec(data []byte, lim Limits) (DecMsg, error) {
 	return m, d.done()
 }
 
+func ctsSize(cts []homenc.Ciphertext) int {
+	size := 0
+	for _, ct := range cts {
+		size += homenc.IntWireSize(ct.V)
+	}
+	return size
+}
+
+// bigInt appends one homenc canonical integer.
+func (e *enc) bigInt(v *big.Int) { e.b = homenc.AppendInt(e.b, v) }
+
+// cts appends a count-prefixed ciphertext vector.
+func (e *enc) cts(cts []homenc.Ciphertext) {
+	e.u32(uint32(len(cts)))
+	for _, ct := range cts {
+		e.bigInt(ct.V)
+	}
+}
+
 // bigInt consumes one homenc canonical integer from the cursor.
 func (d *dec) bigInt(maxBytes int) *big.Int {
 	if d.err != nil {
@@ -464,6 +548,26 @@ func (d *dec) bigInt(maxBytes int) *big.Int {
 	}
 	d.b = rest
 	return v
+}
+
+// cts consumes n canonical integers as a ciphertext vector backed by
+// exact-size slabs (one []big.Int, one []big.Word), so a kept vector
+// pins only its own bytes, not the frame it arrived in.
+func (d *dec) cts(n, maxBytes int) []homenc.Ciphertext {
+	if d.err != nil {
+		return nil
+	}
+	ints, rest, err := homenc.UnmarshalIntsBound(d.b, n, maxBytes)
+	if err != nil {
+		d.err = err
+		return nil
+	}
+	d.b = rest
+	cts := make([]homenc.Ciphertext, n)
+	for i := range cts {
+		cts[i].V = &ints[i]
+	}
+	return cts
 }
 
 func minInt(a, b int) int {

@@ -119,15 +119,26 @@ func WriteFrame(w io.Writer, kind byte, epoch uint64, payload []byte) error {
 // negative target writes the classic untargeted Version frame instead,
 // so callers can thread the destination through unconditionally.
 func WriteFrameTarget(w io.Writer, kind byte, epoch uint64, target int, payload []byte) error {
-	if len(payload) > maxFrameHard-headerBytesV2 {
-		return fmt.Errorf("wireproto: payload of %d bytes exceeds the frame ceiling", len(payload))
+	_, err := WriteMessage(w, kind, epoch, target, Raw(payload))
+	return err
+}
+
+// WriteMessage writes one frame carrying m and returns its wire size.
+// The frame is built in one exactly-sized buffer — header first, then
+// m appended behind it — and goes out in a single Write with no copy.
+// One Write per frame is a contract: fault injectors that delay or cut
+// a connection per write (internal/faultnet) count frames by writes.
+func WriteMessage(w io.Writer, kind byte, epoch uint64, target int, m Message) (int, error) {
+	size := m.WireSize()
+	if size > maxFrameHard-headerBytesV2 {
+		return 0, fmt.Errorf("wireproto: payload of %d bytes exceeds the frame ceiling", size)
 	}
 	hdr := headerBytes
 	if target >= 0 {
 		hdr = headerBytesV2
 	}
-	buf := make([]byte, 4+hdr+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(hdr+len(payload)))
+	buf := make([]byte, 4+hdr, 4+hdr+size)
+	binary.BigEndian.PutUint32(buf, uint32(hdr+size))
 	buf[4] = Version
 	buf[5] = kind
 	binary.BigEndian.PutUint64(buf[6:], epoch)
@@ -135,9 +146,11 @@ func WriteFrameTarget(w io.Writer, kind byte, epoch uint64, target int, payload 
 		buf[4] = Version2
 		binary.BigEndian.PutUint32(buf[14:], uint32(target))
 	}
-	copy(buf[4+hdr:], payload)
-	_, err := w.Write(buf)
-	return err
+	buf = m.AppendWire(buf)
+	if _, err := w.Write(buf); err != nil {
+		return 0, err
+	}
+	return len(buf), nil
 }
 
 // ReadFrame reads one frame of either version, rejecting frames longer
@@ -228,7 +241,6 @@ func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
 func (e *enc) u16(v uint16)  { e.b = binary.BigEndian.AppendUint16(e.b, v) }
 func (e *enc) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *enc) raw(p []byte)  { e.b = append(e.b, p...) }
 func (e *enc) str(s string)  { e.u16(uint16(len(s))); e.b = append(e.b, s...) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *enc) bytes() []byte { return e.b }

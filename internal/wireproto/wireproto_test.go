@@ -194,14 +194,14 @@ func TestDecMsgRejectsDuplicateShares(t *testing.T) {
 	// Hand-build a payload whose two part sets claim the same share index.
 	var e enc
 	ExchangeHdr{}.encode(&e)
-	e.u32(0)                                // no cts
-	e.raw(homenc.MarshalInt(big.NewInt(1))) // omega
-	e.u16(2)                                // two part sets
+	e.u32(0)                // no cts
+	e.bigInt(big.NewInt(1)) // omega
+	e.u16(2)                // two part sets
 	for i := 0; i < 2; i++ {
 		e.u32(2) // same share index both times
 		e.u32(1) // one partial
 		e.u32(2)
-		e.raw(homenc.MarshalInt(big.NewInt(7)))
+		e.bigInt(big.NewInt(7))
 	}
 	e.u32(0) // no fresh partials
 	if _, err := UnmarshalDec(e.bytes(), lim); err == nil {
